@@ -82,6 +82,48 @@ func (x *Xoshiro) SeedStream(seed, id, step uint64) {
 	x.s3 = sm.Uint64()
 }
 
+// The keyed form of SeedStream splits the (seed, id, step) fold into its
+// per-id and per-step halves, so a caller that reseeds many ids on every
+// step folds each half once and pays one hash per (id, step) to name the
+// stream:
+//
+//	x.SeedKey(StreamKey(StreamIDKey(seed, id), StreamStepKey(step)))
+//
+// seeds exactly the state SeedStream(seed, id, step) does.
+
+// StreamIDKey folds the (seed, id) half of a stream triple.
+func StreamIDKey(seed, id uint64) uint64 { return Mix64(Mix64(seed) ^ Mix64(id)) }
+
+// StreamStepKey folds the step half of a stream triple.
+func StreamStepKey(step uint64) uint64 { return Mix64(step) }
+
+// StreamKey combines the two halves into the key of one (seed, id, step)
+// stream.
+func StreamKey(idKey, stepKey uint64) uint64 { return Mix64(idKey ^ stepKey) }
+
+// splitMixGamma is SplitMix64's state increment.
+const splitMixGamma = 0x9e3779b97f4a7c15
+
+// SeedKey reseeds x with the stream named by key, expanding it into
+// xoshiro state exactly as NewXoshiro(key) would.
+func (x *Xoshiro) SeedKey(key uint64) {
+	sm := SplitMix64{state: key}
+	x.s0 = sm.Uint64()
+	x.s1 = sm.Uint64()
+	x.s2 = sm.Uint64()
+	x.s3 = sm.Uint64()
+}
+
+// PeekFloat64 returns the first Float64 of the stream SeedKey(key) would
+// seed, without expanding the full state: xoshiro256**'s first output
+// depends only on the second state word, Mix64(key + γ). A caller can
+// thus inspect a stream's first uniform for one hash and seed the stream
+// only when it must draw further.
+func PeekFloat64(key uint64) float64 {
+	s1 := Mix64(key + splitMixGamma)
+	return float64(bits.RotateLeft64(s1*5, 7)*9>>11) / (1 << 53)
+}
+
 // NewXoshiroStream returns a fresh generator seeded for the (seed, id,
 // step) stream; see SeedStream.
 func NewXoshiroStream(seed, id, step uint64) *Xoshiro {

@@ -105,6 +105,11 @@ func TestTelemetryDoesNotPerturbRuns(t *testing.T) {
 	if a, b := snapshot(regA), snapshot(regB); a != b {
 		t.Errorf("two same-seed runs produced different metric snapshots:\nA:\n%s\nB:\n%s", a, b)
 	}
+	// The fast driver's gate-pass work counters are part of the snapshots
+	// compared above; make sure they were attached and counted.
+	if got := regA.Counter("sim_fast_gate_draws_total", "driver", "fast").Value(); got == 0 {
+		t.Error("sim_fast_gate_draws_total not counted on the fast run")
+	}
 }
 
 func TestRunFastIsDeterministic(t *testing.T) {

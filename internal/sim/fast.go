@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
@@ -158,14 +159,18 @@ func (c *FastConfig) validate() error {
 	return nil
 }
 
-// fastSkipLambda gates the quiescent-tick fast path: when the run's total
-// expected arrivals this tick fall at or below it, the per-group gate
-// draws run serially against the cached intensities instead of through the
-// two-phase worker machinery. The threshold only picks the execution path
-// — both paths consume identical RNG draws — so it affects speed, never
-// output (and keeps every per-group λ far below the λ≥30 normal-
-// approximation switch inside rng.Poisson).
+// fastSkipLambda gates the quiescent-tick fast path: when the firing
+// groups' total expected arrivals this tick fall at or below it, their
+// draws run serially instead of through the two-phase worker machinery.
+// The threshold only picks the execution path — both paths consume
+// identical RNG draws — so it affects speed, never output.
 const fastSkipLambda = 1.0
+
+// fastNormalLambda is the intensity at which rng.Poisson switches from
+// Knuth inversion to its normal approximation. Below it a group-tick's
+// first uniform alone can settle k = 0; at or above it the group always
+// draws.
+const fastNormalLambda = 30
 
 // slotSpan is a half-open arena slot range [Lo, Hi) — topo.Span, which
 // the IPv4 reference topology constructs; the driver keeps the local
@@ -190,6 +195,12 @@ type fastComp struct {
 	pSensor       float64 // per-probe probability of landing on monitored space
 	data          *compData
 	sensors       *ipv4.Set
+
+	// Intensity cache, written by refreshGroup together with the owning
+	// group's lam: the infection- and sensor-category intensities and the
+	// live pool size they were priced with.
+	rate, sens float64
+	live       int64
 }
 
 // fastGroup aggregates infected hosts sharing a mixture. Its components
@@ -198,6 +209,25 @@ type fastComp struct {
 type fastGroup struct {
 	off, n   int32
 	infected int
+	// lam is the group's total arrival intensity λ, exact as of rate
+	// rebuild stamp and, while the delivery probability holds, an upper
+	// bound on the true λ after it (see rebuildRates); +Inf marks a group
+	// whose λ may have risen.
+	lam   float64
+	stamp uint64
+	idKey uint64 // rng.StreamIDKey(seed, group index)
+}
+
+// fastFire is one group whose gate can fire this tick: its index and the
+// key of its (group, tick) stream.
+type fastFire struct {
+	gi  int32
+	key uint64
+}
+
+// fastWork counts one tick's gate-pass work units for the metrics flush.
+type fastWork struct {
+	gated, fired, refreshed uint64
 }
 
 type compKey struct {
@@ -208,9 +238,9 @@ type compKey struct {
 // compData is the per-(set, site) pool geometry: the arena slot spans the
 // set covers plus the monitored-space intersection. The geometry fields are
 // immutable after construction; the live-geometry cache below is refreshed
-// serially by rebuildRates (stamp tells a rebuild pass "already done" —
-// many groups share one compData) and only read by phase-1 workers, so
-// neither needs synchronization.
+// serially by the gate pass, only for pools of groups it refreshes (stamp
+// tells it "already done this rebuild" — many groups share one compData),
+// and only read by phase-1 workers, so neither needs synchronization.
 type compData struct {
 	spans       []slotSpan
 	sensorInter *ipv4.Set
@@ -251,11 +281,12 @@ type fastState struct {
 	cfg FastConfig
 	pop *population.Population
 
-	groups map[uint64]*fastGroup
+	// groups maps a mixture key to its index in groupList.
+	groups map[uint64]int32
 	// groupList holds groups in creation order: per-tick processing must
 	// not follow map iteration order, or same-seed runs would diverge. A
 	// group's index here is also its RNG stream id.
-	groupList []*fastGroup
+	groupList []fastGroup
 	// comps is the flattened component storage shared by every group.
 	// Groups address it by span, never by pointer: buildComps may grow
 	// (and reallocate) it when the merge phase creates a group.
@@ -275,36 +306,51 @@ type fastState struct {
 	siteSpan   map[int]slotSpan
 	live       *liveIndex
 
-	// Per-group/per-component intensity cache, valid until an infection
-	// changes the live set or the tick's delivery probability moves.
-	// Quiescent stretches reuse it wholesale; both draw paths read these
-	// exact floats, which is what makes their outputs bit-identical.
-	lam           []float64 // per group: total arrival intensity λ
-	catRate       []float64 // per comp: infection-category intensity
-	catSens       []float64 // per comp: sensor-category intensity
-	catLive       []int64   // per comp: live pool size at cache build
-	lamTotal      float64
+	// Rate-cache state. The per-group and per-component intensities live
+	// in fastGroup and fastComp; a rebuild bumps rateStamp whenever an
+	// infection changes the live set or the tick's delivery probability
+	// moves, and the gate pass refreshes groups lazily against it. Both
+	// draw paths read the same exact floats, which is what makes their
+	// outputs bit-identical.
+	perHost       float64 // ScanRate × TickSeconds
 	probesTotal   float64
 	cachedDeliver float64
 	rateValid     bool
 	rateStamp     uint64 // rebuild counter, matching fresh compData caches
-	// killsTick accumulates the slots killed since the last rate rebuild,
-	// feeding refreshCompLive's incremental branch.
+	// boundStamp is the rebuild at which the delivery probability last
+	// moved: a λ computed before it bounds nothing.
+	boundStamp uint64
+
+	// The gate pass's output: this tick's firing groups in group order,
+	// their summed λ, and its work counts.
+	fire    []fastFire
+	lamFire float64
+	work    fastWork
+
+	// Kill lists, double-buffered: killsNext accumulates the slots killed
+	// since the last rate rebuild; the rebuild swaps it into killsTick,
+	// sorted and indexed, where it stays for the whole tick so that every
+	// pool the gate pass refreshes one rebuild late still takes
+	// refreshCompLive's incremental branch.
 	killsTick    []int32
+	killsNext    []int32
 	killBlockOff []int32 // per live-index block: kills below the block's first slot
 }
 
 // RunFast runs the aggregated simulation.
 //
-// Each tick executes in two phases. Phase 1 shards the mixture groups
-// across cfg.Workers goroutines; every group draws its tick's arrivals —
-// one Poisson gate draw, then a categorical component pick and a victim or
-// sensor selection per arrival — from its own per-(group, tick) RNG
-// stream, against the tick-start live index and the frozen intensity
-// cache. Phase 2 merges the buffered events serially in group order:
-// duplicate victims resolve first-group-wins, exactly as a serial pass
-// would. Results are byte-identical for every worker count and for the
-// quiescent-tick fast path (DESIGN.md §14).
+// Each tick opens with a serial gate pass: every group's first uniform is
+// peeked from its own per-(group, tick) RNG stream and checked against the
+// group's cached λ, and only groups that can fire are refreshed exactly
+// and listed. Then two phases run over that list. Phase 1 shards the
+// firing groups across cfg.Workers goroutines; every group draws its
+// tick's arrivals — the Poisson count, then a categorical component pick
+// and a victim or sensor selection per arrival — from its stream, against
+// the tick-start live index and the frozen intensity cache. Phase 2
+// merges the buffered events serially in group order: duplicate victims
+// resolve first-group-wins, exactly as a serial pass would. Results are
+// byte-identical for every worker count and for the quiescent-tick fast
+// path (DESIGN.md §14).
 func RunFast(cfg FastConfig) (*Result, error) {
 	if g, err := graphTopology(cfg.Topology); err != nil {
 		return nil, err
@@ -326,8 +372,9 @@ func RunFast(cfg FastConfig) (*Result, error) {
 	st := &fastState{
 		cfg:       cfg,
 		pop:       cfg.Pop,
-		groups:    make(map[uint64]*fastGroup),
+		groups:    make(map[uint64]int32),
 		compCache: make(map[compKey]*compData),
+		perHost:   cfg.ScanRate * cfg.TickSeconds,
 	}
 	st.indexHosts()
 
@@ -340,20 +387,24 @@ func RunFast(cfg FastConfig) (*Result, error) {
 	// infectSlot records an infection. Callers guarantee the slot is live.
 	infectSlot := func(slot int32, t float64) {
 		st.live.kill(int(slot))
-		st.killsTick = append(st.killsTick, slot)
+		st.killsNext = append(st.killsNext, slot)
 		id := st.arenaIDs[slot]
 		infTime[id] = t
 		total++
 		h := st.pop.Host(int(id))
 		key := cfg.Model.GroupKey(h)
-		g, ok := st.groups[key]
+		gi, ok := st.groups[key]
 		if !ok {
 			off, cnt := st.buildComps(h)
-			g = &fastGroup{off: off, n: cnt}
-			st.groups[key] = g
-			st.groupList = append(st.groupList, g)
+			gi = int32(len(st.groupList))
+			st.groups[key] = gi
+			st.groupList = append(st.groupList, fastGroup{off: off, n: cnt,
+				idKey: rng.StreamIDKey(cfg.Seed, uint64(gi))})
 		}
+		g := &st.groupList[gi]
 		g.infected++
+		// More infected hosts probe more: the cached λ is no longer a bound.
+		g.lam = math.Inf(1)
 		st.rateValid = false
 	}
 	rec := cfg.Trace
@@ -377,6 +428,7 @@ func RunFast(cfg FastConfig) (*Result, error) {
 	res := &Result{InfectionTime: infTime, Series: make([]TickInfo, 0, steps)}
 	metrics := newSimMetrics(cfg.Metrics, "fast", cfg.MetricLabels)
 	metrics.attachFaults(cfg.Metrics, cfg.Faults, "fast", cfg.MetricLabels)
+	metrics.attachFastWork(cfg.Metrics, "fast", cfg.MetricLabels)
 
 	// Degraded reporting interposes between the wire and Sensors: hits are
 	// queued at observation time and delivered (possibly duplicated) when
@@ -412,6 +464,7 @@ func RunFast(cfg FastConfig) (*Result, error) {
 		if !st.rateValid || tickDeliver != st.cachedDeliver {
 			st.rebuildRates(tickDeliver)
 		}
+		st.gate(step)
 
 		var newInf int
 		var sensorDraws, sensorDown uint64
@@ -443,20 +496,19 @@ func RunFast(cfg FastConfig) (*Result, error) {
 			}
 		}
 
-		nGroups := len(st.groupList)
+		fire := st.fire
 		nShards := workers
-		if nShards > nGroups {
-			nShards = nGroups
+		if nShards > len(fire) {
+			nShards = len(fire)
 		}
-		if nShards <= 1 || (!cfg.DisableTickSkip && st.lamTotal <= fastSkipLambda) {
-			// Quiescent/serial fast path: one gate draw per group decides
-			// whether it fires at all — the Poisson squeeze generalized to
-			// the whole group-tick — with no worker dispatch and, in the
-			// common all-zero case, no event machinery at all.
+		if nShards <= 1 || (!cfg.DisableTickSkip && st.lamFire <= fastSkipLambda) {
+			// Quiescent/serial fast path: the firing groups draw inline,
+			// with no worker dispatch and, in the common none-fire case,
+			// no event machinery at all.
 			w := &ws[0]
-			w.events = reserveEvents(w.events, st.lamTotal)
-			for gi := 0; gi < nGroups; gi++ {
-				w.events = st.drawGroup(&w.r, gi, step, w.events)
+			w.events = reserveEvents(w.events, st.lamFire)
+			for _, f := range fire {
+				w.events = st.drawGroup(&w.r, f, w.events)
 			}
 			apply(w.events)
 		} else {
@@ -465,25 +517,25 @@ func RunFast(cfg FastConfig) (*Result, error) {
 			// shared reads are race-free.
 			var wg sync.WaitGroup
 			for wi := 0; wi < nShards; wi++ {
-				lo := wi * nGroups / nShards
-				hi := (wi + 1) * nGroups / nShards
+				shard := fire[wi*len(fire)/nShards : (wi+1)*len(fire)/nShards]
 				wg.Add(1)
-				go func(w *fastWorker, lo, hi, step int) {
+				go func(w *fastWorker, shard []fastFire) {
 					defer wg.Done()
 					var lamShard float64
-					for gi := lo; gi < hi; gi++ {
-						lamShard += st.lam[gi]
+					for _, f := range shard {
+						lamShard += st.groupList[f.gi].lam
 					}
 					w.events = reserveEvents(w.events, lamShard)
-					for gi := lo; gi < hi; gi++ {
-						w.events = st.drawGroup(&w.r, gi, step, w.events)
+					for _, f := range shard {
+						w.events = st.drawGroup(&w.r, f, w.events)
 					}
-				}(&ws[wi], lo, hi, step)
+				}(&ws[wi], shard)
 			}
 			wg.Wait()
 			// Phase 2: serial merge in worker order. Shards are contiguous
-			// group ranges, so visiting workers in index order replays
-			// events exactly as a serial pass over the group list would.
+			// runs of the group-ordered fire list, so visiting workers in
+			// index order replays events exactly as a serial pass over the
+			// group list would.
 			for wi := 0; wi < nShards; wi++ {
 				apply(ws[wi].events)
 			}
@@ -500,6 +552,7 @@ func RunFast(cfg FastConfig) (*Result, error) {
 		}
 		metrics.flushTick(info)
 		metrics.flushFaults(cfg.Faults, t)
+		metrics.flushFastWork(st.work)
 		if cfg.OnTick != nil && !cfg.OnTick(info) {
 			break
 		}
@@ -536,58 +589,51 @@ func reserveEvents(buf []fastEvent, lam float64) []fastEvent {
 	return make([]fastEvent, 0, need)
 }
 
-// drawGroup consumes group gi's tick RNG stream and appends its arrival
-// events. The stream is seeded from (seed, gi, step) alone, so the draws
-// are independent of which worker — or which execution path — runs them.
-// Draw discipline, in order: one gate sequence decides how many arrivals
-// the group-tick has (for λ < 30, Knuth inversion against the cached
-// p₀ = e^{-λ}, consuming draws exactly as rng.Poisson would; λ ≥ 30
-// delegates to rng.Poisson's normal approximation); then per arrival one
-// categorical draw picks the component — categories in fixed order,
-// infection then sensor per component — and one selection draw resolves
-// the victim slot or sensor address.
-func (st *fastState) drawGroup(r *rng.Xoshiro, gi, step int, out []fastEvent) []fastEvent {
-	lam := st.lam[gi]
-	if lam <= 0 {
-		return out
-	}
-	r.SeedStream(st.cfg.Seed, uint64(gi), uint64(step))
+// drawGroup consumes a firing group's tick RNG stream and appends its
+// arrival events. The stream is keyed by (seed, group index, step) alone,
+// so the draws are independent of which worker — or which execution
+// path — runs them. Draw discipline, in order: one gate sequence decides
+// how many arrivals the group-tick has (for λ < 30, Knuth inversion
+// against p₀ = e^{-λ}, consuming draws exactly as rng.Poisson would;
+// λ ≥ 30 delegates to rng.Poisson's normal approximation); then per
+// arrival one categorical draw picks the component — categories in fixed
+// order, infection then sensor per component — and one selection draw
+// resolves the victim slot or sensor address.
+func (st *fastState) drawGroup(r *rng.Xoshiro, f fastFire, out []fastEvent) []fastEvent {
+	g := &st.groupList[f.gi]
+	lam := g.lam
+	r.SeedKey(f.key)
 	var k uint64
-	if lam < 30 {
-		// Knuth inversion with a squeeze: 1−λ ≤ e^{−λ}, so a first
-		// uniform at or under 1−λ settles k = 0 without ever computing
-		// the exponential — which keeps e^{−λ} off the per-(group, tick)
-		// fixed cost and prices it only into group-ticks that might
-		// fire. Draw consumption is identical either way.
+	if lam < fastNormalLambda {
+		// The gate pass already ran the squeeze (1−λ ≤ e^{−λ}, so a first
+		// uniform at or under 1−λ settles k = 0) on this same uniform and
+		// listed only groups it could not settle.
 		prod := r.Float64()
-		if prod > 1-lam {
-			p0 := math.Exp(-lam)
-			for prod > p0 {
-				k++
-				prod *= r.Float64()
-			}
+		p0 := math.Exp(-lam)
+		for prod > p0 {
+			k++
+			prod *= r.Float64()
 		}
 	} else {
 		k = r.Poisson(lam)
 	}
-	g := st.groupList[gi]
+	comps := st.comps[g.off : g.off+g.n]
 	for ; k > 0; k-- {
 		u := r.Float64() * lam
 		pick := int32(-1)
 		sensor := false
 		c := 0.0
-		for ci := int32(0); ci < g.n; ci++ {
-			ai := g.off + ci
-			if rr := st.catRate[ai]; rr > 0 {
+		for ci := range comps {
+			if rr := comps[ci].rate; rr > 0 {
 				c += rr
-				pick, sensor = ci, false
+				pick, sensor = int32(ci), false
 				if u <= c {
 					break
 				}
 			}
-			if rs := st.catSens[ai]; rs > 0 {
+			if rs := comps[ci].sens; rs > 0 {
 				c += rs
-				pick, sensor = ci, true
+				pick, sensor = int32(ci), true
 				if u <= c {
 					break
 				}
@@ -596,10 +642,9 @@ func (st *fastState) drawGroup(r *rng.Xoshiro, gi, step int, out []fastEvent) []
 		if pick < 0 {
 			continue // unreachable: λ > 0 implies a positive category
 		}
-		ai := g.off + pick
-		comp := &st.comps[ai]
+		comp := &comps[pick]
 		if !sensor {
-			j := r.Uint64n(uint64(st.catLive[ai]))
+			j := r.Uint64n(uint64(comp.live))
 			out = append(out, fastEvent{slot: int32(st.selectVictim(comp.data, int64(j))), ci: pick})
 		} else {
 			dst := comp.sensors.Select(r.Uint64n(comp.sensors.Size()))
@@ -632,8 +677,8 @@ func (st *fastState) selectVictim(d *compData, j int64) int {
 // span's live count by the kills inside it — integer identities on the
 // rank function, so the result matches a from-scratch recompute exactly,
 // with each kill count answered from the per-block kill table instead of
-// a Fenwick rank. Pools built mid-run (stamp 0) or otherwise out of
-// sequence take the full recompute.
+// a Fenwick rank. Pools built mid-run (stamp 0) or left unrefreshed for
+// more than one rebuild take the full recompute.
 func (st *fastState) refreshCompLive(d *compData) {
 	if d.stamp+1 == st.rateStamp && cap(d.cumLive) >= len(d.spans) {
 		kills := st.killsTick
@@ -673,11 +718,12 @@ func (st *fastState) refreshCompLive(d *compData) {
 
 // indexKills sorts the tick's kill list and fills killBlockOff so that
 // killBlockOff[b] counts the kills below slot b·liveBlockSlots. One pass
-// here turns every killsBelow query during the rebuild into a table load
-// plus a scan of one (typically near-empty) block bucket — the queries run
-// once per span per pool per tick, so they must not each binary-search.
+// here turns every killsBelow query during the tick's pool refreshes into
+// a table load plus a scan of one (typically near-empty) block bucket —
+// the queries run once per span per refreshed pool per tick, so they must
+// not each binary-search.
 func (st *fastState) indexKills() {
-	sortInt32s(st.killsTick)
+	slices.Sort(st.killsTick)
 	nb := st.live.blocks + 1
 	if cap(st.killBlockOff) < nb {
 		st.killBlockOff = make([]int32, nb)
@@ -707,87 +753,112 @@ func (st *fastState) killsBelow(pos int32) int {
 	return c
 }
 
-// rebuildRates recomputes every group's arrival intensity against the
-// current live index and delivery probability. λ is summed here once, in
-// fixed category order (infection then sensor, per component, in component
-// order) — the categorical scan in drawGroup accumulates the same terms in
-// the same order, so the two agree bit-for-bit.
+// rebuildRates advances the rate cache to a new live index or delivery
+// probability without recomputing any intensity. The recomputation is
+// left to the gate pass, which refreshes only groups that can fire.
+//
+// That is exact because at a fixed delivery probability a group's λ can
+// only fall between the group's own infections: pools only lose live
+// hosts, and p·w·liveCt·deliver rounds monotonically, as does the
+// fixed-order sum over categories. So a stale λ stays an upper bound.
+// The bound breaks in two cases, and both force an exact refresh: a move
+// of the delivery probability (first tick, containment, burst loss) voids
+// every λ computed before it, and infectSlot sets λ = +Inf for a group
+// that gains an infection or is created.
 func (st *fastState) rebuildRates(tickDeliver float64) {
-	st.lam = growFloats(st.lam, len(st.groupList))
-	st.catRate = growFloats(st.catRate, len(st.comps))
-	st.catSens = growFloats(st.catSens, len(st.comps))
-	st.catLive = growInts(st.catLive, len(st.comps))
-	st.lamTotal = 0
-	st.probesTotal = 0
 	st.rateStamp++
 	// The kills recorded since the previous rebuild, sorted, drive the
-	// incremental branch of refreshCompLive. Every reachable compData is
-	// visited on every rebuild, so "one rebuild behind" is the only
-	// incremental distance that ever occurs.
+	// incremental branch of refreshCompLive for every pool refreshed
+	// during this tick.
+	st.killsTick, st.killsNext = st.killsNext, st.killsTick[:0]
 	st.indexKills()
-	perHost := st.cfg.ScanRate * st.cfg.TickSeconds
-	for gi, g := range st.groupList {
-		p := float64(g.infected) * perHost
-		st.probesTotal += p
-		lam := 0.0
-		for ci := int32(0); ci < g.n; ci++ {
-			ai := g.off + ci
-			comp := &st.comps[ai]
-			if comp.data.stamp != st.rateStamp {
-				st.refreshCompLive(comp.data)
-			}
-			liveCt := comp.data.liveCt
-			st.catLive[ai] = liveCt
-			rr := 0.0
-			if comp.weightOverSet > 0 && liveCt > 0 {
-				rr = p * comp.weightOverSet * float64(liveCt) * tickDeliver
-			}
-			st.catRate[ai] = rr
-			lam += rr
-			rs := 0.0
-			if comp.pSensor > 0 {
-				rs = p * comp.pSensor * tickDeliver
-			}
-			st.catSens[ai] = rs
-			lam += rs
-		}
-		st.lam[gi] = lam
-		st.lamTotal += lam
+	//lint:ignore float-eq exact cache key: the cached rates were computed from this exact float, so != detects precisely the moves that void them
+	if tickDeliver != st.cachedDeliver {
+		st.boundStamp = st.rateStamp
 	}
-	st.killsTick = st.killsTick[:0]
 	st.cachedDeliver = tickDeliver
 	st.rateValid = true
 }
 
-// sortInt32s sorts s ascending in place — an allocation-free insertion/
-// shell hybrid is overkill here; slot kill lists are short except in the
-// hottest internet-scale ticks, where sort.Slice's closure overhead is
-// noise against the draws.
-func sortInt32s(s []int32) {
-	if len(s) > 1 {
-		sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+// gate runs the tick's serial gate pass. Each group with a positive
+// cached λ has its (group, tick) stream keyed and its first uniform u
+// peeked — two hashes, no state expansion. For λ < 30, u ≤ 1−λ settles
+// k = 0 exactly as drawGroup's squeeze would, and since 1−λ_stale ≤
+// 1−λ_true the stale bound settles it too: the draws a settled group
+// would have consumed are invisible, because every (group, tick) stream
+// is fresh. Only a stale group the bound cannot settle is refreshed
+// exactly and re-tested, so a tick costs O(groups) hashes plus
+// O(firing groups × components) refresh work. The pass lists the firing
+// groups in group order, and sums the tick's expected probes over all
+// groups in that same order.
+func (st *fastState) gate(step int) {
+	stepKey := rng.StreamStepKey(uint64(step))
+	st.fire = st.fire[:0]
+	st.lamFire = 0
+	st.probesTotal = 0
+	st.work = fastWork{}
+	inf := math.Inf(1)
+	for gi := range st.groupList {
+		g := &st.groupList[gi]
+		st.probesTotal += float64(g.infected) * st.perHost
+		lam := g.lam
+		if g.stamp < st.boundStamp {
+			lam = inf
+		}
+		if lam <= 0 {
+			continue // a bound of 0 holds the true λ at 0
+		}
+		st.work.gated++
+		key := rng.StreamKey(g.idKey, stepKey)
+		u := rng.PeekFloat64(key)
+		if lam < fastNormalLambda && u <= 1-lam {
+			continue
+		}
+		if g.stamp != st.rateStamp {
+			lam = st.refreshGroup(g)
+			if lam <= 0 || (lam < fastNormalLambda && u <= 1-lam) {
+				continue
+			}
+		}
+		st.fire = append(st.fire, fastFire{gi: int32(gi), key: key})
+		st.lamFire += lam
 	}
+	st.work.fired = uint64(len(st.fire))
 }
 
-// growFloats and growInts extend a per-group/per-comp cache array,
-// preserving existing entries: unchanged groups skip recomputation in
-// rebuildRates and keep reading their prior values in place.
-func growFloats(s []float64, n int) []float64 {
-	if cap(s) >= n {
-		return s[:n]
+// refreshGroup recomputes one group's intensities exactly against the
+// current live index and delivery probability, and returns its λ. λ is
+// summed in fixed category order (infection then sensor, per component,
+// in component order) — the categorical scan in drawGroup accumulates
+// the same terms in the same order, so the two agree bit-for-bit.
+func (st *fastState) refreshGroup(g *fastGroup) float64 {
+	st.work.refreshed++
+	p := float64(g.infected) * st.perHost
+	lam := 0.0
+	comps := st.comps[g.off : g.off+g.n]
+	for ci := range comps {
+		comp := &comps[ci]
+		if comp.data.stamp != st.rateStamp {
+			st.refreshCompLive(comp.data)
+		}
+		liveCt := comp.data.liveCt
+		comp.live = liveCt
+		rr := 0.0
+		if comp.weightOverSet > 0 && liveCt > 0 {
+			rr = p * comp.weightOverSet * float64(liveCt) * st.cachedDeliver
+		}
+		comp.rate = rr
+		lam += rr
+		rs := 0.0
+		if comp.pSensor > 0 {
+			rs = p * comp.pSensor * st.cachedDeliver
+		}
+		comp.sens = rs
+		lam += rs
 	}
-	ns := make([]float64, n, n+n/2+8)
-	copy(ns, s)
-	return ns
-}
-
-func growInts(s []int64, n int) []int64 {
-	if cap(s) >= n {
-		return s[:n]
-	}
-	ns := make([]int64, n, n+n/2+8)
-	copy(ns, s)
-	return ns
+	g.lam = lam
+	g.stamp = st.rateStamp
+	return lam
 }
 
 // closeFastTickOutcomes closes one fast-driver tick's probe accounting.

@@ -132,6 +132,12 @@ type simMetrics struct {
 	// channel's current loss rate, sampled at each tick.
 	downBlocks *obs.Gauge
 	burstLoss  *obs.Gauge
+	// Fast-driver work counters, registered only by the IPv4 fast driver
+	// (see attachFastWork): group-ticks gated, gates fired, and exact λ
+	// recomputations.
+	gateDraws       *obs.Counter
+	gatesFired      *obs.Counter
+	groupsRefreshed *obs.Counter
 }
 
 // newSimMetrics resolves the driver's metric handles; the driver label is
@@ -167,11 +173,39 @@ func (m *simMetrics) attachFaults(reg *obs.Registry, plan *faults.Plan, driver s
 	if m == nil || plan == nil {
 		return
 	}
-	labels := make([]string, 0, 2+len(extra))
-	labels = append(labels, "driver", driver)
-	labels = append(labels, extra...)
+	labels := driverLabels(driver, extra)
 	m.downBlocks = reg.Gauge("faults_sensor_blocks_down", labels...)
 	m.burstLoss = reg.Gauge("faults_burst_loss", labels...)
+}
+
+// attachFastWork registers the fast driver's gate-pass work counters; a
+// no-op without a registry.
+func (m *simMetrics) attachFastWork(reg *obs.Registry, driver string, extra []string) {
+	if m == nil {
+		return
+	}
+	labels := driverLabels(driver, extra)
+	m.gateDraws = reg.Counter("sim_fast_gate_draws_total", labels...)
+	m.gatesFired = reg.Counter("sim_fast_gates_fired_total", labels...)
+	m.groupsRefreshed = reg.Counter("sim_fast_groups_refreshed_total", labels...)
+}
+
+// driverLabels is the label list of a run's series: the driver label
+// followed by the config's extra pairs.
+func driverLabels(driver string, extra []string) []string {
+	labels := make([]string, 0, 2+len(extra))
+	labels = append(labels, "driver", driver)
+	return append(labels, extra...)
+}
+
+// flushFastWork adds one tick's gate-pass work counts.
+func (m *simMetrics) flushFastWork(w fastWork) {
+	if m == nil || m.gateDraws == nil {
+		return
+	}
+	m.gateDraws.Add(w.gated)
+	m.gatesFired.Add(w.fired)
+	m.groupsRefreshed.Add(w.refreshed)
 }
 
 // flushFaults samples the fault plan's state at tick time t.

@@ -11,6 +11,12 @@ go build ./...
 echo "==> go vet ./..."
 go vet ./...
 
+# The benchmark is its own module and sits outside ./..., so vetting it
+# (which type-checks it against this tree) is what catches a sim or rng
+# API change that would break the benchmark's build.
+echo "==> go vet -C _perfbench ./..."
+go vet -C _perfbench ./...
+
 echo "==> go run ./cmd/reprolint -baseline lint.baseline ./..."
 lint_start=$(date +%s)
 mkdir -p .lint
