@@ -4,10 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
 	"sort"
-	"sync"
 
 	"repro/internal/faults"
 	"repro/internal/ipv4"
@@ -48,12 +46,6 @@ type FastConfig struct {
 	// per-(group, tick) RNG stream and merge in group-creation order
 	// (DESIGN.md §14).
 	Workers int
-	// DisableTickSkip forces every tick through the two-phase draw path,
-	// bypassing the serial quiescent-tick fast path. Output is
-	// byte-identical either way — the fast path consumes exactly the same
-	// per-group RNG draws — so the switch exists for tests and
-	// cross-checks, not for correctness.
-	DisableTickSkip bool
 	// LossRate is the environmental probe-loss probability.
 	LossRate float64
 	// BlockedDst is destination space hard-blocked upstream (probes there
@@ -106,9 +98,14 @@ type FastConfig struct {
 // paper's closing argument — local detection matters because it triggers
 // response *early* — is quantified by wiring a detector fleet's alert state
 // into Trigger.
+//
+// A Containment is per-run state: RunFast clears the engagement when a run
+// starts and records it as the run goes, so reusing one policy for a
+// second run starts that run disengaged, and Engaged/EngagedAt describe
+// the latest run only. Runs sharing one policy must not overlap.
 type Containment struct {
 	// Trigger is evaluated after every tick; once it returns true the
-	// policy engages permanently.
+	// policy engages for the rest of the run.
 	Trigger func() bool
 	// Drop is the per-probe drop probability once engaged.
 	Drop float64
@@ -127,17 +124,11 @@ func (c *FastConfig) validate() error {
 	if c.Model == nil {
 		return errors.New("sim: nil rate model")
 	}
-	if err := checkTiming(c.ScanRate, c.TickSeconds, c.MaxSeconds); err != nil {
+	if err := checkRun(c.ScanRate, c.TickSeconds, c.MaxSeconds, c.Workers); err != nil {
 		return err
-	}
-	if c.ScanRate*c.TickSeconds > maxProbesPerHostTick {
-		return fmt.Errorf("sim: %v probes per host per tick exceeds the %v cap", c.ScanRate*c.TickSeconds, float64(maxProbesPerHostTick))
 	}
 	if c.SeedHosts <= 0 || c.SeedHosts > c.Pop.Size() {
 		return fmt.Errorf("sim: seed hosts %d out of range", c.SeedHosts)
-	}
-	if c.Workers < 0 {
-		return fmt.Errorf("sim: negative worker count %d (0 means GOMAXPROCS)", c.Workers)
 	}
 	if c.Sensors != nil && c.SensorSet == nil {
 		return errors.New("sim: Sensors set but SensorSet missing")
@@ -153,18 +144,15 @@ func (c *FastConfig) validate() error {
 			return errors.New("sim: containment drop out of [0,1]")
 		}
 	}
-	if err := checkFaultHorizon(c.Faults, c.MaxSeconds); err != nil {
-		return err
-	}
-	return nil
+	return checkFaultHorizon(c.Faults, c.MaxSeconds)
 }
 
-// fastSkipLambda gates the quiescent-tick fast path: when the firing
-// groups' total expected arrivals this tick fall at or below it, their
-// draws run serially instead of through the two-phase worker machinery.
-// The threshold only picks the execution path — both paths consume
-// identical RNG draws — so it affects speed, never output.
-const fastSkipLambda = 1.0
+// engine builds the tick loop for a run of this config over hosts hosts.
+func (c *FastConfig) engine(hosts int) *tickEngine {
+	return newTickEngine(tickEngine{workers: c.Workers, tickSeconds: c.TickSeconds, steps: int(c.MaxSeconds / c.TickSeconds),
+		clock: c.Clock, rec: c.Trace, plan: c.Faults, onTick: c.OnTick, stopWhen: c.StopWhenInfected},
+		hosts, c.Metrics, "fast", c.MetricLabels)
+}
 
 // fastNormalLambda is the intensity at which rng.Poisson switches from
 // Knuth inversion to its normal approximation. Below it a group-tick's
@@ -309,9 +297,9 @@ type fastState struct {
 	// Rate-cache state. The per-group and per-component intensities live
 	// in fastGroup and fastComp; a rebuild bumps rateStamp whenever an
 	// infection changes the live set or the tick's delivery probability
-	// moves, and the gate pass refreshes groups lazily against it. Both
-	// draw paths read the same exact floats, which is what makes their
-	// outputs bit-identical.
+	// moves, and the gate pass refreshes groups lazily against it. Every
+	// shard reads the same exact floats, which is what makes outputs
+	// bit-identical for every worker count.
 	perHost       float64 // ScanRate × TickSeconds
 	probesTotal   float64
 	cachedDeliver float64
@@ -343,14 +331,15 @@ type fastState struct {
 // peeked from its own per-(group, tick) RNG stream and checked against the
 // group's cached λ, and only groups that can fire are refreshed exactly
 // and listed. Then two phases run over that list. Phase 1 shards the
-// firing groups across cfg.Workers goroutines; every group draws its
-// tick's arrivals — the Poisson count, then a categorical component pick
-// and a victim or sensor selection per arrival — from its stream, against
-// the tick-start live index and the frozen intensity cache. Phase 2
+// firing groups across cfg.Workers goroutines (one inline shard on a
+// quiescent tick of at most fastSkipLambda expected arrivals); every group
+// draws its tick's arrivals — the Poisson count, then a categorical
+// component pick and a victim or sensor selection per arrival — from its
+// stream, against the tick-start live index and the frozen intensity
+// cache. Phase 2
 // merges the buffered events serially in group order: duplicate victims
 // resolve first-group-wins, exactly as a serial pass would. Results are
-// byte-identical for every worker count and for the quiescent-tick fast
-// path (DESIGN.md §14).
+// byte-identical for every worker count (DESIGN.md §14).
 func RunFast(cfg FastConfig) (*Result, error) {
 	if g, err := graphTopology(cfg.Topology); err != nil {
 		return nil, err
@@ -359,10 +348,6 @@ func RunFast(cfg FastConfig) (*Result, error) {
 	}
 	if err := cfg.validate(); err != nil {
 		return nil, err
-	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
 	}
 	if cfg.SensorSet != nil {
 		// ipv4.Set builds its indexes lazily on first read. Freeze it now so
@@ -379,10 +364,9 @@ func RunFast(cfg FastConfig) (*Result, error) {
 	st.indexHosts()
 
 	n := cfg.Pop.Size()
-	infTime := make([]float64, n)
-	for i := range infTime {
-		infTime[i] = -1
-	}
+	e := cfg.engine(n)
+	e.metrics.attachFastWork(cfg.Metrics, "fast", cfg.MetricLabels)
+	infTime := e.res.InfectionTime
 	total := 0
 	// infectSlot records an infection. Callers guarantee the slot is live.
 	infectSlot := func(slot int32, t float64) {
@@ -408,12 +392,6 @@ func RunFast(cfg FastConfig) (*Result, error) {
 		st.rateValid = false
 	}
 	rec := cfg.Trace
-	rec.Append(trace.Event{Tick: 0, T: 0, Kind: trace.KindPhase, Agent: -1, Victim: -1, Vector: "start", Detail: "fast"})
-	seedR := rng.NewXoshiro(cfg.Seed)
-	for _, id := range seedR.SampleWithoutReplacement(n, cfg.SeedHosts) {
-		infectSlot(st.idSlot[id], 0)
-		rec.AppendInfection(0, 0, -1, id, uint32(st.pop.Host(id).Addr), "seed")
-	}
 	// compVec caches the per-component attribution labels ("c0", "c1", …)
 	// so traced runs do not re-render them per infection.
 	var compVec []string
@@ -424,155 +402,101 @@ func RunFast(cfg FastConfig) (*Result, error) {
 		return compVec[ci]
 	}
 
-	steps := int(cfg.MaxSeconds / cfg.TickSeconds)
-	res := &Result{InfectionTime: infTime, Series: make([]TickInfo, 0, steps)}
-	metrics := newSimMetrics(cfg.Metrics, "fast", cfg.MetricLabels)
-	metrics.attachFaults(cfg.Metrics, cfg.Faults, "fast", cfg.MetricLabels)
-	metrics.attachFastWork(cfg.Metrics, "fast", cfg.MetricLabels)
-
 	// Degraded reporting interposes between the wire and Sensors: hits are
 	// queued at observation time and delivered (possibly duplicated) when
 	// the simulated clock passes their due time.
 	recordHit := func(dst ipv4.Addr) {}
 	if cfg.Sensors != nil {
 		recordHit = cfg.Sensors.RecordHit
-	}
-	var reporter *faults.Reporter
-	if cfg.Sensors != nil {
-		if reporter = cfg.Faults.NewReporter(func(_, dst ipv4.Addr) { cfg.Sensors.RecordHit(dst) }); reporter != nil {
-			recordHit = reporter.RecordHit
+		if e.reporter = cfg.Faults.NewReporter(func(_, dst ipv4.Addr) { cfg.Sensors.RecordHit(dst) }); e.reporter != nil {
+			recordHit = e.reporter.RecordHit
 		}
 	}
 
 	baseDeliver := 1 - cfg.LossRate
 	deliver := baseDeliver
-	ws := make([]fastWorker, workers)
-	var faultCursor faults.TraceCursor
-	for step := 1; step <= steps; step++ {
-		t := float64(step) * cfg.TickSeconds
-		cfg.Clock.Set(t)
-		if reporter != nil {
-			reporter.Advance(t)
-		}
-		faultCursor.Observe(rec, cfg.Faults, step, t)
-		// The burst channel multiplies this tick's delivery probability:
-		// expected hit counts shrink by the channel's current loss exactly
-		// as the exact driver's per-probe Bernoulli would on average.
-		burstLoss := cfg.Faults.BurstLoss(t)
-		tickDeliver := deliver * (1 - burstLoss)
-		//lint:ignore float-eq exact cache key: the cached rates were computed from this exact float, so == detects precisely the ticks that can reuse them
-		if !st.rateValid || tickDeliver != st.cachedDeliver {
-			st.rebuildRates(tickDeliver)
-		}
-		st.gate(step)
-
-		var newInf int
-		var sensorDraws, sensorDown uint64
-		// apply replays one buffer of phase-1 events in draw order. The
-		// live index advances as infections land, so duplicate victims
-		// within the tick resolve first-event-wins (hosts infected this
-		// tick never probe before the next tick — same feedback rule as
-		// the exact driver).
-		apply := func(evs []fastEvent) {
-			for _, ev := range evs {
-				if ev.slot >= 0 {
-					if !st.live.test(int(ev.slot)) {
-						continue // claimed earlier this tick
-					}
-					id := st.arenaIDs[ev.slot]
-					infectSlot(ev.slot, t)
-					newInf++
-					rec.AppendInfection(step, t, -1, int(id), uint32(st.arenaAddrs[ev.slot]), vecName(ev.ci))
-					continue
-				}
-				if cfg.Faults.SensorDown(ev.dst, t) {
-					// Delivered to withdrawn monitored space: the wire
-					// carried it but no sensor was listening.
-					sensorDown++
-					continue
-				}
-				sensorDraws++
-				recordHit(ev.dst)
+	if c := cfg.Containment; c != nil {
+		// The policy is per-run state: a reused one starts disengaged.
+		c.engaged, c.EngagedAt = false, 0
+		e.afterTick = func(t float64) {
+			if !c.engaged && c.Trigger() {
+				c.engaged = true
+				c.EngagedAt = t
+				deliver = baseDeliver * (1 - c.Drop)
 			}
 		}
-
-		fire := st.fire
-		nShards := workers
-		if nShards > len(fire) {
-			nShards = len(fire)
-		}
-		if nShards <= 1 || (!cfg.DisableTickSkip && st.lamFire <= fastSkipLambda) {
-			// Quiescent/serial fast path: the firing groups draw inline,
-			// with no worker dispatch and, in the common none-fire case,
-			// no event machinery at all.
-			w := &ws[0]
-			w.events = reserveEvents(w.events, st.lamFire)
-			for _, f := range fire {
+	}
+	ws := make([]fastWorker, e.workers)
+	var burstLoss float64
+	return e.run(tickDriver{
+		seed: func(id int) uint32 {
+			infectSlot(st.idSlot[id], 0)
+			return uint32(st.pop.Host(id).Addr)
+		},
+		begin: func(step int, _, loss float64) (int, float64) {
+			burstLoss = loss
+			// The burst channel multiplies this tick's delivery
+			// probability: expected hit counts shrink by the channel's
+			// current loss exactly as the exact driver's per-probe
+			// Bernoulli would on average.
+			tickDeliver := deliver * (1 - burstLoss)
+			//lint:ignore float-eq exact cache key: the cached rates were computed from this exact float, so == detects precisely the ticks that can reuse them
+			if !st.rateValid || tickDeliver != st.cachedDeliver {
+				st.rebuildRates(tickDeliver)
+			}
+			st.gate(step)
+			return len(st.fire), st.lamFire
+		},
+		// Phase 1: draw the shard's firing groups against the tick-start
+		// live index. Infections land in phase 2, so the workers' shared
+		// reads are race-free.
+		draw: func(wi, lo, hi int) {
+			w := &ws[wi]
+			shard := st.fire[lo:hi]
+			var lam float64
+			for _, f := range shard {
+				lam += st.groupList[f.gi].lam
+			}
+			w.events = reserveEvents(w.events, lam)
+			for _, f := range shard {
 				w.events = st.drawGroup(&w.r, f, w.events)
 			}
-			apply(w.events)
-		} else {
-			// Phase 1: draw this tick's arrivals against the tick-start
-			// live index. Infections land in phase 2, so the workers'
-			// shared reads are race-free.
-			var wg sync.WaitGroup
-			for wi := 0; wi < nShards; wi++ {
-				shard := fire[wi*len(fire)/nShards : (wi+1)*len(fire)/nShards]
-				wg.Add(1)
-				go func(w *fastWorker, shard []fastFire) {
-					defer wg.Done()
-					var lamShard float64
-					for _, f := range shard {
-						lamShard += st.groupList[f.gi].lam
+		},
+		// Phase 2: replay the shards' events in group order. The live
+		// index advances as infections land, so duplicate victims within
+		// the tick resolve first-event-wins (hosts infected this tick
+		// never probe before the next tick — same feedback rule as the
+		// exact driver).
+		merge: func(step int, t float64, shards int) TickInfo {
+			var newInf int
+			var sensorDraws, sensorDown uint64
+			for wi := 0; wi < shards; wi++ {
+				for _, ev := range ws[wi].events {
+					if ev.slot >= 0 {
+						if !st.live.test(int(ev.slot)) {
+							continue // claimed earlier this tick
+						}
+						id := st.arenaIDs[ev.slot]
+						infectSlot(ev.slot, t)
+						newInf++
+						rec.AppendInfection(step, t, -1, int(id), uint32(st.arenaAddrs[ev.slot]), vecName(ev.ci))
+						continue
 					}
-					w.events = reserveEvents(w.events, lamShard)
-					for _, f := range shard {
-						w.events = st.drawGroup(&w.r, f, w.events)
+					if cfg.Faults.SensorDown(ev.dst, t) {
+						// Delivered to withdrawn monitored space: the wire
+						// carried it but no sensor was listening.
+						sensorDown++
+						continue
 					}
-				}(&ws[wi], shard)
+					sensorDraws++
+					recordHit(ev.dst)
+				}
 			}
-			wg.Wait()
-			// Phase 2: serial merge in worker order. Shards are contiguous
-			// runs of the group-ordered fire list, so visiting workers in
-			// index order replays events exactly as a serial pass over the
-			// group list would.
-			for wi := 0; wi < nShards; wi++ {
-				apply(ws[wi].events)
-			}
-		}
-
-		probesEmitted, outcomes := closeFastTickOutcomes(st.probesTotal, newInf, sensorDraws, sensorDown, deliver, burstLoss)
-		info := TickInfo{Time: t, Infected: total, NewInfections: newInf, Probes: probesEmitted, Outcomes: outcomes}
-		res.Series = append(res.Series, info)
-		res.Final = info
-		res.Outcomes.Merge(outcomes)
-		if rec != nil {
-			rec.Append(trace.Event{Tick: step, T: t, Kind: trace.KindProbes, Agent: -1, Victim: -1,
-				N: probesEmitted, Detail: outcomes.String()})
-		}
-		metrics.flushTick(info)
-		metrics.flushFaults(cfg.Faults, t)
-		metrics.flushFastWork(st.work)
-		if cfg.OnTick != nil && !cfg.OnTick(info) {
-			break
-		}
-		if cfg.StopWhenInfected > 0 && total >= cfg.StopWhenInfected {
-			break
-		}
-		if c := cfg.Containment; c != nil && !c.engaged && c.Trigger != nil && c.Trigger() {
-			c.engaged = true
-			c.EngagedAt = t
-			deliver = baseDeliver * (1 - c.Drop)
-		}
-	}
-	if reporter != nil {
-		// End of run: deliver everything still in flight so detection sees
-		// every observation exactly as a real collector drain would.
-		reporter.Flush()
-	}
-	rec.Append(trace.Event{Tick: len(res.Series), T: res.Final.Time, Kind: trace.KindPhase,
-		Agent: -1, Victim: -1, Vector: "end", Detail: "fast", N: uint64(res.Final.Infected)})
-	return res, nil
+			probes, outcomes := closeFastTickOutcomes(st.probesTotal, newInf, sensorDraws, sensorDown, deliver, burstLoss)
+			e.metrics.flushFastWork(st.work)
+			return TickInfo{Time: t, Infected: total, NewInfections: newInf, Probes: probes, Outcomes: outcomes}
+		},
+	}, rng.NewXoshiro(cfg.Seed).SampleWithoutReplacement(n, cfg.SeedHosts), "fast"), nil
 }
 
 // reserveEvents returns buf emptied, with capacity for lam expected
@@ -591,32 +515,20 @@ func reserveEvents(buf []fastEvent, lam float64) []fastEvent {
 
 // drawGroup consumes a firing group's tick RNG stream and appends its
 // arrival events. The stream is keyed by (seed, group index, step) alone,
-// so the draws are independent of which worker — or which execution
-// path — runs them. Draw discipline, in order: one gate sequence decides
-// how many arrivals the group-tick has (for λ < 30, Knuth inversion
-// against p₀ = e^{-λ}, consuming draws exactly as rng.Poisson would;
-// λ ≥ 30 delegates to rng.Poisson's normal approximation); then per
-// arrival one categorical draw picks the component — categories in fixed
-// order, infection then sensor per component — and one selection draw
-// resolves the victim slot or sensor address.
+// so the draws are independent of which worker runs them. Draw
+// discipline, in order: one rng.Poisson draw decides how many arrivals
+// the group-tick has; then per arrival one categorical draw picks the
+// component — categories in fixed order, infection then sensor per
+// component — and one selection draw resolves the victim slot or sensor
+// address.
 func (st *fastState) drawGroup(r *rng.Xoshiro, f fastFire, out []fastEvent) []fastEvent {
 	g := &st.groupList[f.gi]
 	lam := g.lam
 	r.SeedKey(f.key)
-	var k uint64
-	if lam < fastNormalLambda {
-		// The gate pass already ran the squeeze (1−λ ≤ e^{−λ}, so a first
-		// uniform at or under 1−λ settles k = 0) on this same uniform and
-		// listed only groups it could not settle.
-		prod := r.Float64()
-		p0 := math.Exp(-lam)
-		for prod > p0 {
-			k++
-			prod *= r.Float64()
-		}
-	} else {
-		k = r.Poisson(lam)
-	}
+	// The gate pass listed the group because its first uniform exceeds
+	// 1−λ at this same λ, so rng.Poisson's squeeze re-test consumes no
+	// extra draw and never settles it.
+	k := r.Poisson(lam)
 	comps := st.comps[g.off : g.off+g.n]
 	for ; k > 0; k-- {
 		u := r.Float64() * lam

@@ -64,7 +64,7 @@ func criiSensorSet(t *testing.T, pop *population.Population) *ipv4.Set {
 // 400 s: about 57k infections over some 1,100 /16 groups, with a kill on
 // every tick. With containment set it also embeds a sensor fleet and
 // engages a 50% drop once the fleet has seen 200 probes (near t = 93 s).
-func goldenCRIIRun(t *testing.T, workers int, noskip, containment bool) string {
+func goldenCRIIRun(t *testing.T, workers int, containment bool) string {
 	t.Helper()
 	pop := criiPaperPop(t)
 	rec := trace.NewRecorder(0)
@@ -78,8 +78,6 @@ func goldenCRIIRun(t *testing.T, workers int, noskip, containment bool) string {
 		Seed:        2024,
 		Workers:     workers,
 		Trace:       rec,
-
-		DisableTickSkip: noskip,
 	}
 	col := &addrCollector{}
 	if containment {
@@ -120,7 +118,7 @@ func TestFastLazyGoldenByteIdentity(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got := goldenHash(goldenCRIIRun(t, tc.workers, false, tc.containment))
+			got := goldenHash(goldenCRIIRun(t, tc.workers, tc.containment))
 			t.Logf("%s hash %s", tc.name, got)
 			if got != tc.want {
 				t.Errorf("%s output hash %s, pinned eager-driver hash %s", tc.name, got, tc.want)
@@ -129,9 +127,10 @@ func TestFastLazyGoldenByteIdentity(t *testing.T) {
 	}
 }
 
-// TestFastLazyWorkersTickSkipIdentity extends the pin to every worker count
-// and both tick-skip settings: the lazy gate pass is serial and identical on
-// all of them, so only the draw scheduling differs.
+// TestFastLazyWorkersTickSkipIdentity extends the pin to more worker
+// counts, whose quiescent ticks run as one inline shard and busy ticks fan
+// out: the lazy gate pass is serial and identical on all of them, so only
+// the draw scheduling differs.
 func TestFastLazyWorkersTickSkipIdentity(t *testing.T) {
 	for _, containment := range []bool{false, true} {
 		want := goldenCRIIW1
@@ -139,11 +138,9 @@ func TestFastLazyWorkersTickSkipIdentity(t *testing.T) {
 			want = goldenCRIIContainmentW1
 		}
 		for _, workers := range []int{2, 8} {
-			for _, noskip := range []bool{false, true} {
-				if got := goldenHash(goldenCRIIRun(t, workers, noskip, containment)); got != want {
-					t.Errorf("containment=%v workers=%d noskip=%v: hash %s, want %s",
-						containment, workers, noskip, got, want)
-				}
+			if got := goldenHash(goldenCRIIRun(t, workers, containment)); got != want {
+				t.Errorf("containment=%v workers=%d: hash %s, want %s",
+					containment, workers, got, want)
 			}
 		}
 	}

@@ -1,25 +1,20 @@
 package sim
 
 import (
-	"math"
-	"runtime"
-	"sync"
-
 	"repro/internal/rng"
 	"repro/internal/topo"
-	"repro/internal/trace"
 	"repro/internal/worm"
 )
 
 // Graph drivers: RunExact and RunFast dispatch here when the config's
 // Topology is a topo.Graph. The worm spreads over neighbor lists — an
-// infected node probes only its own adjacency — but the drivers keep
-// the IPv4 engines' determinism shape exactly: two-phase ticks, one RNG
-// stream per (agent, tick) seeded from (Seed, node id, step) alone,
-// contiguous agent shards, and a serial first-wins merge in agent
-// order, so output is byte-identical for every worker count. The
-// worlds passed in must satisfy topo.ValidateGraph; the drivers trust
-// sorted symmetric adjacency and do not re-validate per run.
+// infected node probes only its own adjacency — but the drivers run on
+// the IPv4 drivers' tick engine: two-phase ticks over contiguous agent
+// shards with a serial first-wins merge in agent order, and one RNG
+// stream per (agent, tick) seeded from (Seed, node id, step) alone, so
+// output is byte-identical for every worker count. The worlds passed in
+// must satisfy topo.ValidateGraph; the drivers trust sorted symmetric
+// adjacency and do not re-validate per run.
 //
 // Node ids double as addresses: trace infection events store the victim
 // node id in the Addr field, seed edges use Vector "seed" as on IPv4,
@@ -56,17 +51,16 @@ func (w *graphWorker) reset() {
 // list, on the run seed's root stream. Both drivers use this exact
 // derivation, so a fast/exact pair on the same seed starts from the
 // same outbreak.
-func graphSeeds(g topo.Graph, seed uint64, seedHosts int) []int32 {
-	sus := make([]int32, 0, g.Nodes()-g.SensorCount())
+func graphSeeds(g topo.Graph, seed uint64, seedHosts int) []int {
+	sus := make([]int, 0, g.Nodes()-g.SensorCount())
 	for i := 0; i < g.Nodes(); i++ {
 		if !g.IsSensor(i) {
-			sus = append(sus, int32(i))
+			sus = append(sus, i)
 		}
 	}
-	r := rng.NewXoshiro(seed)
-	seeds := make([]int32, 0, seedHosts)
-	for _, k := range r.SampleWithoutReplacement(len(sus), seedHosts) {
-		seeds = append(seeds, sus[k])
+	seeds := rng.NewXoshiro(seed).SampleWithoutReplacement(len(sus), seedHosts)
+	for i, k := range seeds {
+		seeds[i] = sus[k]
 	}
 	return seeds
 }
@@ -82,20 +76,14 @@ func runExactGraph(cfg ExactConfig, g topo.Graph) (*Result, error) {
 		return nil, err
 	}
 	n := g.Nodes()
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	e := cfg.engine(n)
 	picker := cfg.Neighbor
 	if picker == nil {
 		picker = worm.UniformNeighbor{}
 	}
 
 	infected := make([]bool, n)
-	infTime := make([]float64, n)
-	for i := range infTime {
-		infTime[i] = -1
-	}
+	infTime := e.res.InfectionTime
 	var agents []int32
 	infect := func(id int32, t float64) {
 		infected[id] = true
@@ -103,37 +91,27 @@ func runExactGraph(cfg ExactConfig, g topo.Graph) (*Result, error) {
 		agents = append(agents, id)
 	}
 	rec := cfg.Trace
-	rec.Append(trace.Event{Tick: 0, T: 0, Kind: trace.KindPhase, Agent: -1, Victim: -1,
-		Vector: "start", Detail: "exact " + g.Name()})
-	for _, id := range graphSeeds(g, cfg.Seed, cfg.SeedHosts) {
-		infect(id, 0)
-		rec.AppendInfection(0, 0, -1, int(id), uint32(id), "seed")
-	}
-
 	probesPerTick := int(cfg.ScanRate*cfg.TickSeconds + 0.5) // ≥1, by validation
-	steps := int(cfg.MaxSeconds / cfg.TickSeconds)
-	res := &Result{InfectionTime: infTime, Series: make([]TickInfo, 0, steps)}
-	metrics := newSimMetrics(cfg.Metrics, "exact", cfg.MetricLabels)
-
-	ws := make([]graphWorker, workers)
-	for step := 1; step <= steps; step++ {
-		t := float64(step) * cfg.TickSeconds
-		cfg.Clock.Set(t)
-
+	ws := make([]graphWorker, e.workers)
+	var stepU uint64
+	return e.run(tickDriver{
+		seed: func(id int) uint32 {
+			infect(int32(id), 0)
+			return uint32(id)
+		},
+		begin: func(step int, _, _ float64) (int, float64) {
+			stepU = uint64(step)
+			return len(agents), float64(len(agents)) * float64(probesPerTick)
+		},
 		// Phase 1: classify against the tick-start snapshot. Nodes
 		// infected this tick start probing next tick, and `infected` is
 		// only written in phase 2, so shared reads are race-free.
 		// Isolated nodes have nobody to probe: they emit no probes and
 		// consume no RNG, so their stream ids stay untouched.
-		nAgents := len(agents)
-		nShards := workers
-		if nShards > nAgents {
-			nShards = nAgents
-		}
-		stepU := uint64(step)
-		classify := func(w *graphWorker, shard []int32) {
+		draw: func(wi, lo, hi int) {
+			w := &ws[wi]
 			w.reset()
-			for _, id := range shard {
+			for _, id := range agents[lo:hi] {
 				nbrs := g.Neighbors(int(id))
 				if len(nbrs) == 0 {
 					continue
@@ -152,66 +130,31 @@ func runExactGraph(cfg ExactConfig, g topo.Graph) (*Result, error) {
 					}
 				}
 			}
-		}
-		if nShards <= 1 {
-			nShards = 1
-			classify(&ws[0], agents[:nAgents])
-		} else {
-			var wg sync.WaitGroup
-			for wi := 0; wi < nShards; wi++ {
-				lo := wi * nAgents / nShards
-				hi := (wi + 1) * nAgents / nShards
-				wg.Add(1)
-				go func(w *graphWorker, shard []int32) {
-					defer wg.Done()
-					classify(w, shard)
-				}(&ws[wi], agents[lo:hi:hi])
-			}
-			wg.Wait()
-		}
-
+		},
 		// Phase 2: serial merge in agent order; duplicate candidates
 		// resolve first-agent-wins, later ones land as Delivered (the
 		// probe reached an already-infected node).
-		var newInf int
-		var probes uint64
-		var outcomes OutcomeCounts
-		for wi := 0; wi < nShards; wi++ {
-			probes += ws[wi].probes
-			outcomes.Merge(ws[wi].outcomes)
-		}
-		for wi := 0; wi < nShards; wi++ {
-			for _, ev := range ws[wi].events {
-				if !infected[ev.victim] {
-					infect(ev.victim, t)
-					newInf++
-					outcomes[OutcomeInfection]++
-					rec.AppendInfection(step, t, int(ev.agent), int(ev.victim), uint32(ev.victim), "edge")
-				} else {
-					outcomes[OutcomeDelivered]++
+		merge: func(step int, t float64, shards int) TickInfo {
+			var newInf int
+			var probes uint64
+			var outcomes OutcomeCounts
+			for wi := 0; wi < shards; wi++ {
+				probes += ws[wi].probes
+				outcomes.Merge(ws[wi].outcomes)
+				for _, ev := range ws[wi].events {
+					if !infected[ev.victim] {
+						infect(ev.victim, t)
+						newInf++
+						outcomes[OutcomeInfection]++
+						rec.AppendInfection(step, t, int(ev.agent), int(ev.victim), uint32(ev.victim), "edge")
+					} else {
+						outcomes[OutcomeDelivered]++
+					}
 				}
 			}
-		}
-
-		info := TickInfo{Time: t, Infected: len(agents), NewInfections: newInf, Probes: probes, Outcomes: outcomes}
-		res.Series = append(res.Series, info)
-		res.Final = info
-		res.Outcomes.Merge(outcomes)
-		if rec != nil {
-			rec.Append(trace.Event{Tick: step, T: t, Kind: trace.KindProbes, Agent: -1, Victim: -1,
-				N: probes, Detail: outcomes.String()})
-		}
-		metrics.flushTick(info)
-		if cfg.OnTick != nil && !cfg.OnTick(info) {
-			break
-		}
-		if cfg.StopWhenInfected > 0 && len(agents) >= cfg.StopWhenInfected {
-			break
-		}
-	}
-	rec.Append(trace.Event{Tick: len(res.Series), T: res.Final.Time, Kind: trace.KindPhase,
-		Agent: -1, Victim: -1, Vector: "end", Detail: "exact " + g.Name(), N: uint64(res.Final.Infected)})
-	return res, nil
+			return TickInfo{Time: t, Infected: len(agents), NewInfections: newInf, Probes: probes, Outcomes: outcomes}
+		},
+	}, graphSeeds(g, cfg.Seed, cfg.SeedHosts), "exact "+g.Name()), nil
 }
 
 // runFastGraph is the aggregated driver over a neighbor graph. Each
@@ -219,26 +162,18 @@ func runExactGraph(cfg ExactConfig, g topo.Graph) (*Result, error) {
 // arrivals that matter — live-neighbor hits and sensor-neighbor hits —
 // at rate perHost·(liveNbrs+sensNbrs)/degree, the graph analogue of the
 // IPv4 driver's live-pool thinning. Each agent draws from its own
-// per-(node, tick) stream with the same gate discipline as the IPv4
-// fast driver (Knuth squeeze below λ=30, rng.Poisson above), so worker
-// count, tick skipping, and trace attachment never change output.
-// Unlike IPv4 fast aggregation, the draws here know their infector, so
-// trace edges carry true provenance.
+// per-(node, tick) stream, so worker count and trace attachment never
+// change output. Unlike IPv4 fast aggregation, the draws here know their
+// infector, so trace edges carry true provenance.
 func runFastGraph(cfg FastConfig, g topo.Graph) (*Result, error) {
 	if err := cfg.validateGraph(g); err != nil {
 		return nil, err
 	}
 	n := g.Nodes()
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	e := cfg.engine(n)
 
 	infected := make([]bool, n)
-	infTime := make([]float64, n)
-	for i := range infTime {
-		infTime[i] = -1
-	}
+	infTime := e.res.InfectionTime
 	// liveNbrs counts each node's susceptible (non-sensor, non-infected)
 	// neighbors; sensNbrs its sensor neighbors. Both shape the thinned
 	// rates; liveNbrs is maintained incrementally as infections land.
@@ -254,24 +189,15 @@ func runFastGraph(cfg FastConfig, g topo.Graph) (*Result, error) {
 		}
 	}
 	var agents []int32
-	total := 0
 	infect := func(id int32, t float64) {
 		infected[id] = true
 		infTime[id] = t
-		total++
 		agents = append(agents, id)
 		for _, u := range g.Neighbors(int(id)) {
 			liveNbrs[u]--
 		}
 	}
 	rec := cfg.Trace
-	rec.Append(trace.Event{Tick: 0, T: 0, Kind: trace.KindPhase, Agent: -1, Victim: -1,
-		Vector: "start", Detail: "fast " + g.Name()})
-	for _, id := range graphSeeds(g, cfg.Seed, cfg.SeedHosts) {
-		infect(id, 0)
-		rec.AppendInfection(0, 0, -1, int(id), uint32(id), "seed")
-	}
-
 	perHost := cfg.ScanRate * cfg.TickSeconds
 	// liveNeighbor resolves the j-th susceptible neighbor of id against
 	// the tick-start snapshot — an O(degree) positional scan of the
@@ -288,141 +214,83 @@ func runFastGraph(cfg FastConfig, g topo.Graph) (*Result, error) {
 		}
 		panic("sim: live neighbor index out of snapshot range")
 	}
-	// drawAgent consumes agent id's (node, tick) stream: one gate
-	// sequence for the arrival count, then per arrival one categorical
-	// draw (infection category first, then sensor) and, for infections,
-	// one selection draw over the live neighbors.
-	drawAgent := func(w *graphWorker, id int32, step int) {
-		deg := g.Degree(int(id))
-		if deg == 0 {
-			return
-		}
-		lamInf := perHost * float64(liveNbrs[id]) / float64(deg)
-		lamSens := perHost * float64(sensNbrs[id]) / float64(deg)
-		lam := lamInf + lamSens
-		if lam <= 0 {
-			return
-		}
-		r := &w.r
-		r.SeedStream(cfg.Seed, uint64(id), uint64(step))
-		var k uint64
-		if lam < 30 {
-			// Knuth inversion with the 1−λ ≤ e^{−λ} squeeze, exactly as
-			// the IPv4 driver's gate: draw consumption is identical to
-			// rng.Poisson for the same stream.
-			prod := r.Float64()
-			if prod > 1-lam {
-				p0 := math.Exp(-lam)
-				for prod > p0 {
-					k++
-					prod *= r.Float64()
+
+	ws := make([]graphWorker, e.workers)
+	var stepU uint64
+	var probesTotal float64
+	return e.run(tickDriver{
+		seed: func(id int) uint32 {
+			infect(int32(id), 0)
+			return uint32(id)
+		},
+		// The tick's expected arrivals and emitted probes, summed over the
+		// tick-start agents in infection order, so the float sums' order
+		// is fixed.
+		begin: func(step int, _, _ float64) (int, float64) {
+			stepU = uint64(step)
+			lam := 0.0
+			probing := 0
+			for _, id := range agents {
+				deg := g.Degree(int(id))
+				if deg == 0 {
+					continue
 				}
+				probing++
+				lam += perHost * float64(liveNbrs[id]+sensNbrs[id]) / float64(deg)
 			}
-		} else {
-			k = r.Poisson(lam)
-		}
-		for ; k > 0; k-- {
-			u := r.Float64() * lam
-			if lamInf > 0 && u <= lamInf {
-				j := r.Uint64n(uint64(liveNbrs[id]))
-				w.events = append(w.events, graphEvent{agent: id, victim: liveNeighbor(id, j)})
-			} else {
-				w.sensorDraws++
-			}
-		}
-	}
-
-	steps := int(cfg.MaxSeconds / cfg.TickSeconds)
-	res := &Result{InfectionTime: infTime, Series: make([]TickInfo, 0, steps)}
-	metrics := newSimMetrics(cfg.Metrics, "fast", cfg.MetricLabels)
-
-	ws := make([]graphWorker, workers)
-	for step := 1; step <= steps; step++ {
-		t := float64(step) * cfg.TickSeconds
-		cfg.Clock.Set(t)
-
-		// Serial pass over the tick-start agent list: the skip gate and
-		// the emitted-probe total. Agents are visited in infection
-		// order, so the float sum's order is fixed.
-		nAgents := len(agents)
-		lamTotal := 0.0
-		probing := 0
-		for _, id := range agents[:nAgents] {
-			deg := g.Degree(int(id))
-			if deg == 0 {
-				continue
-			}
-			probing++
-			lamTotal += perHost * float64(liveNbrs[id]+sensNbrs[id]) / float64(deg)
-		}
-		probesTotal := perHost * float64(probing)
-
-		var newInf int
-		var sensorDraws uint64
-		apply := func(w *graphWorker) {
-			sensorDraws += w.sensorDraws
-			for _, ev := range w.events {
-				if infected[ev.victim] {
-					continue // claimed earlier this tick
-				}
-				infect(ev.victim, t)
-				newInf++
-				rec.AppendInfection(step, t, int(ev.agent), int(ev.victim), uint32(ev.victim), "edge")
-			}
-		}
-
-		nShards := workers
-		if nShards > nAgents {
-			nShards = nAgents
-		}
-		if nShards <= 1 || (!cfg.DisableTickSkip && lamTotal <= fastSkipLambda) {
-			// Quiescent/serial fast path: same draws, no worker dispatch.
-			w := &ws[0]
+			probesTotal = perHost * float64(probing)
+			return len(agents), lam
+		},
+		// Phase 1: each agent consumes its (node, tick) stream — one
+		// rng.Poisson draw for the arrival count, then per arrival one
+		// categorical draw (infection category first, then sensor) and,
+		// for infections, one selection draw over the live neighbors.
+		draw: func(wi, lo, hi int) {
+			w := &ws[wi]
 			w.reset()
-			for _, id := range agents[:nAgents] {
-				drawAgent(w, id, step)
-			}
-			apply(w)
-		} else {
-			var wg sync.WaitGroup
-			for wi := 0; wi < nShards; wi++ {
-				lo := wi * nAgents / nShards
-				hi := (wi + 1) * nAgents / nShards
-				wg.Add(1)
-				go func(w *graphWorker, shard []int32, step int) {
-					defer wg.Done()
-					w.reset()
-					for _, id := range shard {
-						drawAgent(w, id, step)
+			for _, id := range agents[lo:hi] {
+				deg := g.Degree(int(id))
+				if deg == 0 {
+					continue
+				}
+				lamInf := perHost * float64(liveNbrs[id]) / float64(deg)
+				lamSens := perHost * float64(sensNbrs[id]) / float64(deg)
+				lam := lamInf + lamSens
+				if lam <= 0 {
+					continue
+				}
+				r := &w.r
+				r.SeedStream(cfg.Seed, uint64(id), stepU)
+				for k := r.Poisson(lam); k > 0; k-- {
+					u := r.Float64() * lam
+					if lamInf > 0 && u <= lamInf {
+						j := r.Uint64n(uint64(liveNbrs[id]))
+						w.events = append(w.events, graphEvent{agent: id, victim: liveNeighbor(id, j)})
+					} else {
+						w.sensorDraws++
 					}
-				}(&ws[wi], agents[lo:hi:hi], step)
+				}
 			}
-			wg.Wait()
-			// Serial merge in worker order = agent order; duplicate
-			// victims resolve first-event-wins.
-			for wi := 0; wi < nShards; wi++ {
-				apply(&ws[wi])
+		},
+		// Phase 2: serial merge in agent order; duplicate victims resolve
+		// first-event-wins.
+		merge: func(step int, t float64, shards int) TickInfo {
+			var newInf int
+			var sensorDraws uint64
+			for wi := 0; wi < shards; wi++ {
+				w := &ws[wi]
+				sensorDraws += w.sensorDraws
+				for _, ev := range w.events {
+					if infected[ev.victim] {
+						continue // claimed earlier this tick
+					}
+					infect(ev.victim, t)
+					newInf++
+					rec.AppendInfection(step, t, int(ev.agent), int(ev.victim), uint32(ev.victim), "edge")
+				}
 			}
-		}
-
-		probesEmitted, outcomes := closeFastTickOutcomes(probesTotal, newInf, sensorDraws, 0, 1, 0)
-		info := TickInfo{Time: t, Infected: total, NewInfections: newInf, Probes: probesEmitted, Outcomes: outcomes}
-		res.Series = append(res.Series, info)
-		res.Final = info
-		res.Outcomes.Merge(outcomes)
-		if rec != nil {
-			rec.Append(trace.Event{Tick: step, T: t, Kind: trace.KindProbes, Agent: -1, Victim: -1,
-				N: probesEmitted, Detail: outcomes.String()})
-		}
-		metrics.flushTick(info)
-		if cfg.OnTick != nil && !cfg.OnTick(info) {
-			break
-		}
-		if cfg.StopWhenInfected > 0 && total >= cfg.StopWhenInfected {
-			break
-		}
-	}
-	rec.Append(trace.Event{Tick: len(res.Series), T: res.Final.Time, Kind: trace.KindPhase,
-		Agent: -1, Victim: -1, Vector: "end", Detail: "fast " + g.Name(), N: uint64(res.Final.Infected)})
-	return res, nil
+			probes, outcomes := closeFastTickOutcomes(probesTotal, newInf, sensorDraws, 0, 1, 0)
+			return TickInfo{Time: t, Infected: len(agents), NewInfections: newInf, Probes: probes, Outcomes: outcomes}
+		},
+	}, graphSeeds(g, cfg.Seed, cfg.SeedHosts), "fast "+g.Name()), nil
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/faults"
@@ -127,9 +128,9 @@ type simMetrics struct {
 	ticks    *obs.Counter
 	infected *obs.Gauge
 	newInf   *obs.Histogram
-	// Fault gauges, registered only when a fault plan is attached (see
-	// attachFaults): the number of withdrawn sensor blocks and the burst
-	// channel's current loss rate, sampled at each tick.
+	// Fault gauges, registered only when a fault plan is attached: the
+	// number of withdrawn sensor blocks and the burst channel's current
+	// loss rate, sampled at each tick.
 	downBlocks *obs.Gauge
 	burstLoss  *obs.Gauge
 	// Fast-driver work counters, registered only by the IPv4 fast driver
@@ -140,42 +141,31 @@ type simMetrics struct {
 	groupsRefreshed *obs.Counter
 }
 
-// newSimMetrics resolves the driver's metric handles; the driver label is
-// "exact" or "fast" so both drivers can run against one registry, and the
-// config's extra label pairs keep runs sharing one registry (concurrent
-// sweep points) on distinct series instead of colliding.
-func newSimMetrics(reg *obs.Registry, driver string, extra []string) *simMetrics {
+// newSimMetrics resolves the driver's metric handles, with the fault
+// gauges when a plan is attached; the driver label is "exact" or "fast"
+// so both drivers can run against one registry, and the config's extra
+// label pairs keep runs sharing one registry (concurrent sweep points) on
+// distinct series instead of colliding.
+func newSimMetrics(reg *obs.Registry, plan *faults.Plan, driver string, extra []string) *simMetrics {
 	if reg == nil {
 		return nil
 	}
-	labels := func(more ...string) []string {
-		l := make([]string, 0, 2+len(extra)+len(more))
-		l = append(l, "driver", driver)
-		l = append(l, extra...)
-		return append(l, more...)
-	}
+	labels := driverLabels(driver, extra)
 	m := &simMetrics{
-		emitted:  reg.Counter("sim_probes_emitted_total", labels()...),
-		ticks:    reg.Counter("sim_ticks_total", labels()...),
-		infected: reg.Gauge("sim_infected_hosts", labels()...),
-		newInf:   reg.Histogram("sim_tick_new_infections", newInfectionBuckets, labels()...),
+		emitted:  reg.Counter("sim_probes_emitted_total", labels...),
+		ticks:    reg.Counter("sim_ticks_total", labels...),
+		infected: reg.Gauge("sim_infected_hosts", labels...),
+		newInf:   reg.Histogram("sim_tick_new_infections", newInfectionBuckets, labels...),
 	}
 	for i := range m.outcomes {
 		m.outcomes[i] = reg.Counter("sim_probes_total",
-			labels("outcome", ProbeOutcome(i).String())...)
+			slices.Concat(labels, []string{"outcome", ProbeOutcome(i).String()})...)
+	}
+	if plan != nil {
+		m.downBlocks = reg.Gauge("faults_sensor_blocks_down", labels...)
+		m.burstLoss = reg.Gauge("faults_burst_loss", labels...)
 	}
 	return m
-}
-
-// attachFaults registers the fault gauges; a no-op without a registry or
-// without a plan.
-func (m *simMetrics) attachFaults(reg *obs.Registry, plan *faults.Plan, driver string, extra []string) {
-	if m == nil || plan == nil {
-		return
-	}
-	labels := driverLabels(driver, extra)
-	m.downBlocks = reg.Gauge("faults_sensor_blocks_down", labels...)
-	m.burstLoss = reg.Gauge("faults_burst_loss", labels...)
 }
 
 // attachFastWork registers the fast driver's gate-pass work counters; a

@@ -25,8 +25,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 
 	"repro/internal/faults"
 	"repro/internal/ipv4"
@@ -196,25 +194,32 @@ func (c *ExactConfig) validate() error {
 	if c.Factory == nil {
 		return errors.New("sim: nil worm factory")
 	}
-	if err := checkTiming(c.ScanRate, c.TickSeconds, c.MaxSeconds); err != nil {
+	if err := c.checkRun(); err != nil {
 		return err
-	}
-	if c.ScanRate*c.TickSeconds > maxProbesPerHostTick {
-		return fmt.Errorf("sim: %v probes per host per tick exceeds the %v cap", c.ScanRate*c.TickSeconds, float64(maxProbesPerHostTick))
-	}
-	if int(c.ScanRate*c.TickSeconds+0.5) < 1 {
-		return errors.New("sim: exact driver needs ≥1 probe per host per tick")
-	}
-	if c.Workers < 0 {
-		return fmt.Errorf("sim: negative worker count %d (0 means GOMAXPROCS)", c.Workers)
 	}
 	if c.SeedHosts <= 0 || c.SeedHosts > c.Pop.Size() {
 		return fmt.Errorf("sim: seed hosts %d out of range", c.SeedHosts)
 	}
-	if err := checkFaultHorizon(c.Faults, c.MaxSeconds); err != nil {
+	return checkFaultHorizon(c.Faults, c.MaxSeconds)
+}
+
+// checkRun validates the run shape both worlds of the exact driver
+// share: checkRun's common bounds plus a whole probe per host per tick.
+func (c *ExactConfig) checkRun() error {
+	if err := checkRun(c.ScanRate, c.TickSeconds, c.MaxSeconds, c.Workers); err != nil {
 		return err
 	}
+	if int(c.ScanRate*c.TickSeconds+0.5) < 1 {
+		return errors.New("sim: exact driver needs ≥1 probe per host per tick")
+	}
 	return nil
+}
+
+// engine builds the tick loop for a run of this config over hosts hosts.
+func (c *ExactConfig) engine(hosts int) *tickEngine {
+	return newTickEngine(tickEngine{workers: c.Workers, tickSeconds: c.TickSeconds, steps: int(c.MaxSeconds / c.TickSeconds),
+		clock: c.Clock, rec: c.Trace, plan: c.Faults, onTick: c.OnTick, stopWhen: c.StopWhenInfected},
+		hosts, c.Metrics, "exact", c.MetricLabels)
 }
 
 // Caps on the per-run work a config may request. They exist to turn
@@ -224,14 +229,15 @@ func (c *ExactConfig) validate() error {
 const (
 	// maxTicks bounds MaxSeconds/TickSeconds.
 	maxTicks = 1e9
-	// maxProbesPerHostTick bounds ScanRate·TickSeconds in the exact driver.
+	// maxProbesPerHostTick bounds ScanRate·TickSeconds.
 	maxProbesPerHostTick = 1e8
 )
 
-// checkTiming validates the rate/step/horizon triple shared by both
-// drivers: all three finite and positive, at least one whole tick, and a
-// tick count that fits comfortably in an int.
-func checkTiming(scanRate, tickSeconds, maxSeconds float64) error {
+// checkRun validates the run shape every driver shares: the rate, step
+// and horizon all finite and positive, at least one whole tick, a tick
+// count that fits comfortably in an int, a bounded probe count per host
+// per tick, and a non-negative worker count.
+func checkRun(scanRate, tickSeconds, maxSeconds float64, workers int) error {
 	for _, v := range [...]float64{scanRate, tickSeconds, maxSeconds} {
 		if math.IsNaN(v) || math.IsInf(v, 0) || v <= 0 {
 			return fmt.Errorf("sim: rates and durations must be positive and finite (got rate=%v tick=%v horizon=%v)", scanRate, tickSeconds, maxSeconds)
@@ -243,6 +249,12 @@ func checkTiming(scanRate, tickSeconds, maxSeconds float64) error {
 	}
 	if steps > maxTicks {
 		return fmt.Errorf("sim: %v ticks exceed the %v cap", steps, float64(maxTicks))
+	}
+	if scanRate*tickSeconds > maxProbesPerHostTick {
+		return fmt.Errorf("sim: %v probes per host per tick exceeds the %v cap", scanRate*tickSeconds, float64(maxProbesPerHostTick))
+	}
+	if workers < 0 {
+		return fmt.Errorf("sim: negative worker count %d (0 means GOMAXPROCS)", workers)
 	}
 	return nil
 }
@@ -328,14 +340,9 @@ func RunExact(cfg ExactConfig) (*Result, error) {
 	if env == nil {
 		env = &netenv.Environment{}
 	}
-	r := rng.NewXoshiro(cfg.Seed)
 	pop := cfg.Pop
 	n := pop.Size()
-
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	e := cfg.engine(n)
 	if cfg.SensorSet != nil {
 		// ipv4.Set builds its indexes lazily on first read. Freeze it now so
 		// the phase-1 workers' concurrent Contains calls are pure reads.
@@ -343,10 +350,7 @@ func RunExact(cfg ExactConfig) (*Result, error) {
 	}
 
 	infected := make([]bool, n)
-	infTime := make([]float64, n)
-	for i := range infTime {
-		infTime[i] = -1
-	}
+	infTime := e.res.InfectionTime
 	var agents []exactAgent
 	infect := func(id int, t float64) {
 		infected[id] = true
@@ -360,53 +364,38 @@ func RunExact(cfg ExactConfig) (*Result, error) {
 		})
 	}
 	rec := cfg.Trace
-	rec.Append(trace.Event{Tick: 0, T: 0, Kind: trace.KindPhase, Agent: -1, Victim: -1, Vector: "start", Detail: "exact"})
-	for _, id := range r.SampleWithoutReplacement(n, cfg.SeedHosts) {
-		infect(id, 0)
-		rec.AppendInfection(0, 0, -1, id, uint32(pop.Host(id).Addr), "seed")
-	}
-
 	probesPerTick := int(cfg.ScanRate*cfg.TickSeconds + 0.5) // ≥1, by validation
-
-	steps := int(cfg.MaxSeconds / cfg.TickSeconds)
-	res := &Result{InfectionTime: infTime, Series: make([]TickInfo, 0, steps)}
-	metrics := newSimMetrics(cfg.Metrics, "exact", cfg.MetricLabels)
-	metrics.attachFaults(cfg.Metrics, cfg.Faults, "exact", cfg.MetricLabels)
 
 	// Degraded reporting interposes between the wire and OnProbe: probes
 	// are queued at observation time and delivered (possibly duplicated)
 	// when the simulated clock passes their due time.
 	onProbe := cfg.OnProbe
-	var reporter *faults.Reporter
 	if onProbe != nil {
-		if reporter = cfg.Faults.NewReporter(onProbe); reporter != nil {
-			onProbe = reporter.Report
+		if e.reporter = cfg.Faults.NewReporter(onProbe); e.reporter != nil {
+			onProbe = e.reporter.Report
 		}
 	}
 
-	ws := make([]exactWorker, workers)
-	var faultCursor faults.TraceCursor
-	for step := 1; step <= steps; step++ {
-		t := float64(step) * cfg.TickSeconds
-		cfg.Clock.Set(t)
-		if reporter != nil {
-			reporter.Advance(t)
-		}
-		faultCursor.Observe(rec, cfg.Faults, step, t)
-		burstLoss := cfg.Faults.BurstLoss(t)
-
+	ws := make([]exactWorker, e.workers)
+	var stepU uint64
+	var now, burstLoss float64
+	return e.run(tickDriver{
+		seed: func(id int) uint32 {
+			infect(id, 0)
+			return uint32(pop.Host(id).Addr)
+		},
+		begin: func(step int, t, loss float64) (int, float64) {
+			stepU, now, burstLoss = uint64(step), t, loss
+			return len(agents), float64(len(agents)) * float64(probesPerTick)
+		},
 		// Phase 1: classify this tick's probes against the tick-start
 		// infection snapshot. Agents infected during this tick start
 		// probing next tick, and `infected` is only written in phase 2,
 		// so the workers' shared reads are race-free.
-		nAgents := len(agents)
-		nShards := workers
-		if nShards > nAgents {
-			nShards = nAgents
-		}
-		stepU := uint64(step)
-		classify := func(w *exactWorker, shard []exactAgent) {
+		draw: func(wi, lo, hi int) {
+			w := &ws[wi]
 			w.reset()
+			shard := agents[lo:hi]
 			for ai := range shard {
 				a := &shard[ai]
 				w.envR.SeedStream(cfg.Seed, uint64(a.id), stepU)
@@ -456,7 +445,7 @@ func RunExact(cfg ExactConfig) (*Result, error) {
 						continue
 					}
 					onSensor := cfg.SensorSet != nil && cfg.SensorSet.Contains(dst)
-					if onSensor && cfg.Faults.SensorDown(dst, t) {
+					if onSensor && cfg.Faults.SensorDown(dst, now) {
 						// Delivered onto monitored space whose sensor is
 						// withdrawn: nobody is listening, so the probe
 						// never reaches OnProbe. Darknet space holds no
@@ -489,91 +478,48 @@ func RunExact(cfg ExactConfig) (*Result, error) {
 					}
 				}
 			}
-		}
-		if nShards <= 1 {
-			nShards = 1
-			classify(&ws[0], agents[:nAgents])
-		} else {
-			var wg sync.WaitGroup
-			for wi := 0; wi < nShards; wi++ {
-				lo := wi * nAgents / nShards
-				hi := (wi + 1) * nAgents / nShards
-				wg.Add(1)
-				go func(w *exactWorker, shard []exactAgent) {
-					defer wg.Done()
-					classify(w, shard)
-				}(&ws[wi], agents[lo:hi:hi])
-			}
-			wg.Wait()
-		}
-
-		// Phase 2: serial merge in agent order. Shards are contiguous
-		// agent ranges, so visiting workers in index order replays events
-		// exactly as a serial pass over the agent list would — duplicate
-		// infection candidates resolve first-agent-wins.
-		var newInf int
-		var probes uint64
-		var outcomes OutcomeCounts
-		for wi := 0; wi < nShards; wi++ {
-			probes += ws[wi].probes
-			outcomes.Merge(ws[wi].outcomes)
-		}
-		for wi := 0; wi < nShards; wi++ {
-			w := &ws[wi]
-			off := 0
-			for _, ev := range w.events {
-				hit := false
-				for _, vid := range w.victims[off : off+int(ev.nVictims)] {
-					if !infected[vid] {
-						infect(int(vid), t)
-						newInf++
-						hit = true
-						rec.AppendInfection(step, t, int(ev.agent), int(vid),
-							uint32(pop.Host(int(vid)).Addr), "scan")
+		},
+		// Phase 2: serial merge in agent order, so duplicate infection
+		// candidates resolve first-agent-wins.
+		merge: func(step int, t float64, shards int) TickInfo {
+			var newInf int
+			var probes uint64
+			var outcomes OutcomeCounts
+			for wi := 0; wi < shards; wi++ {
+				w := &ws[wi]
+				probes += w.probes
+				outcomes.Merge(w.outcomes)
+				off := 0
+				for _, ev := range w.events {
+					hit := false
+					for _, vid := range w.victims[off : off+int(ev.nVictims)] {
+						if !infected[vid] {
+							infect(int(vid), t)
+							newInf++
+							hit = true
+							rec.AppendInfection(step, t, int(ev.agent), int(vid),
+								uint32(pop.Host(int(vid)).Addr), "scan")
+						}
+					}
+					off += int(ev.nVictims)
+					if hit {
+						outcomes[OutcomeInfection]++
+					} else {
+						outcomes[ev.fallback]++
 					}
 				}
-				off += int(ev.nVictims)
-				if hit {
-					outcomes[OutcomeInfection]++
-				} else {
-					outcomes[ev.fallback]++
+			}
+			if onProbe != nil {
+				// Sensor observations replay after the infection merge,
+				// still in agent order; fleets never read infection state,
+				// so the two replay streams need no interleaving.
+				for wi := 0; wi < shards; wi++ {
+					for _, h := range ws[wi].hits {
+						onProbe(h.src, h.dst)
+					}
 				}
 			}
-		}
-		if onProbe != nil {
-			// Sensor observations replay after the infection merge, still
-			// in agent order; fleets never read infection state, so the
-			// two replay streams need no interleaving.
-			for wi := 0; wi < nShards; wi++ {
-				for _, h := range ws[wi].hits {
-					onProbe(h.src, h.dst)
-				}
-			}
-		}
-
-		info := TickInfo{Time: t, Infected: len(agents), NewInfections: newInf, Probes: probes, Outcomes: outcomes}
-		res.Series = append(res.Series, info)
-		res.Final = info
-		res.Outcomes.Merge(outcomes)
-		if rec != nil {
-			rec.Append(trace.Event{Tick: step, T: t, Kind: trace.KindProbes, Agent: -1, Victim: -1,
-				N: probes, Detail: outcomes.String()})
-		}
-		metrics.flushTick(info)
-		metrics.flushFaults(cfg.Faults, t)
-		if cfg.OnTick != nil && !cfg.OnTick(info) {
-			break
-		}
-		if cfg.StopWhenInfected > 0 && len(agents) >= cfg.StopWhenInfected {
-			break
-		}
-	}
-	if reporter != nil {
-		// End of run: deliver everything still in flight so detection sees
-		// every observation exactly as a real collector drain would.
-		reporter.Flush()
-	}
-	rec.Append(trace.Event{Tick: len(res.Series), T: res.Final.Time, Kind: trace.KindPhase,
-		Agent: -1, Victim: -1, Vector: "end", Detail: "exact", N: uint64(res.Final.Infected)})
-	return res, nil
+			return TickInfo{Time: t, Infected: len(agents), NewInfections: newInf, Probes: probes, Outcomes: outcomes}
+		},
+	}, rng.NewXoshiro(cfg.Seed).SampleWithoutReplacement(n, cfg.SeedHosts), "exact"), nil
 }

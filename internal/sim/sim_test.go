@@ -461,6 +461,40 @@ func TestFastContainmentSlowsEpidemic(t *testing.T) {
 	}
 }
 
+// TestFastContainmentReusedPolicy: a Containment is per-run state, so a
+// second run with the same policy must engage again and reproduce the
+// first run, not start with the engagement latched from the first run and
+// never apply the drop.
+func TestFastContainmentReusedPolicy(t *testing.T) {
+	pop := smallPop(t, 600, 23)
+	list, _ := worm.BuildGreedySlash16HitList(pop.Addrs(false), 24)
+	ticks := 0
+	policy := &Containment{
+		Trigger: func() bool { ticks++; return ticks >= 10 },
+		Drop:    0.97,
+	}
+	cfg := FastConfig{
+		Pop: pop, Model: &HitListModel{List: ipv4.SetOfPrefixes(list...)},
+		ScanRate: 800, TickSeconds: 1, MaxSeconds: 200, SeedHosts: 5, Seed: 24,
+		Containment: policy,
+	}
+	var runs [2]string
+	for i := range runs {
+		ticks = 0
+		res, err := RunFast(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !policy.Engaged() || policy.EngagedAt != 10 {
+			t.Fatalf("run %d: containment engaged=%v at %v, want true at t=10", i, policy.Engaged(), policy.EngagedAt)
+		}
+		runs[i] = serializeFastRun(t, res, nil, nil)
+	}
+	if runs[0] != runs[1] {
+		t.Errorf("second run with a reused policy diverged from the first:\n--- first ---\n%.1000s\n--- second ---\n%.1000s", runs[0], runs[1])
+	}
+}
+
 func TestResultHelpers(t *testing.T) {
 	r := &Result{
 		Series: []TickInfo{
